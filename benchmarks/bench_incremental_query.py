@@ -24,6 +24,7 @@ times faster (default 2.0), or if fewer than 10k records were churned.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import sys
 import time
@@ -63,6 +64,20 @@ def churn_round(system: System, round_index: int, files: int) -> None:
                 proc.close(fd)
 
 
+def _settle_collector() -> None:
+    """Run a full collection before a timed region, untimed.
+
+    The untimed churn allocates far more than either timed region, so
+    without this the cyclic GC's full (gen-2) passes, which scan the
+    whole live heap, land in a timed region by phase alone: a module
+    more or less imported at startup moves one ~0.1 s pass into or out
+    of an incremental round.  Starting each region from a collected
+    heap charges it only for the collections its own allocations
+    trigger -- the batch rebuild still pays for the ones it causes.
+    """
+    gc.collect()
+
+
 def run_incremental(rounds: int, files: int):
     """Sync + query per round against the one live engine."""
     system = System.boot(config=QUIET)
@@ -70,6 +85,7 @@ def run_incremental(rounds: int, files: int):
     timings, results, records = [], [], 0
     for round_index in range(rounds):
         churn_round(system, round_index, files)
+        _settle_collector()
         started = time.perf_counter()
         records += system.sync()
         rows = engine.execute_refs(QUERY)
@@ -86,6 +102,7 @@ def run_batch(rounds: int, files: int):
     timings, results, records = [], [], 0
     for round_index in range(rounds):
         churn_round(system, round_index, files)
+        _settle_collector()
         started = time.perf_counter()
         records += system.sync()
         engine = QueryEngine.from_records(itertools.chain(

@@ -158,91 +158,6 @@ def run_arm(config: BootConfig, rounds: int, files: int) -> dict:
     }
 
 
-def run_shard_arm(shards: int, rounds: int, files: int) -> dict:
-    """The churn workload on one sharded-tier arm.
-
-    Reported throughput is the *storage tier's* critical path, measured
-    with real wall clocks per shard: seconds each shard spent in log
-    append/flush plus Waldo drain.  With one worker per shard the
-    tier's elapsed storage time is the max over shards; at ``shards=1``
-    the max IS the serial total, so the two arms share a unit.  (The
-    whole-pipeline elapsed time is reported too, but capture --
-    observer/analyzer/distributor -- is ~65% of it and out of this
-    tier's hands; Amdahl caps any full-pipeline claim regardless of
-    shard count, and the GIL serializes pure-Python capture anyway.)
-    """
-    system = System.boot(config=BootConfig(observability=False,
-                                           shards=shards))
-    system.tier.enable_wall_timing()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        for round_index in range(rounds):
-            churn_round(system, round_index, files)
-        records = system.sync()
-        elapsed = time.perf_counter() - started
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-    shard_seconds = system.tier.storage_seconds("pass")
-    critical_path = max(shard_seconds)
-    serial = sum(shard_seconds)
-    return {
-        "shards": shards,
-        "records": records,
-        "elapsed_s": elapsed,
-        "shard_storage_seconds": shard_seconds,
-        "storage_critical_path_s": critical_path,
-        "storage_serial_s": serial,
-        "storage_records_per_sec": (records / critical_path
-                                    if critical_path else float("inf")),
-        "parallel_drains": system.tier.parallel_drains,
-        # Cross-shard interleaving legitimately reorders the global
-        # record stream; per-subject order is a per-shard property.
-        # Equality is therefore on the sorted multiset.
-        "contents": sorted(canonical_database(system), key=repr),
-    }
-
-
-def run_sharded(rounds: int = 10, files: int = 120,
-                shard_counts: tuple = (1, 2, 4)) -> dict:
-    """The sharded-tier suite: same churn workload at 1/2/4 shards.
-
-    The headline ``speedup`` is storage-tier critical-path throughput
-    at the widest arm over the single-shard arm; every arm must drain
-    the same records into the union of its shard databases (sorted
-    multiset equality -- the sharded analogue of the batched arms'
-    exact-order gate).
-    """
-    run_shard_arm(1, 1, files)          # warmup (discarded)
-    arms = [run_shard_arm(count, rounds, files)
-            for count in shard_counts]
-    base = arms[0]
-    for arm in arms[1:]:
-        assert arm["records"] == base["records"], \
-            "sharded arms drained different record counts"
-        assert arm["contents"] == base["contents"], \
-            (f"shards={arm['shards']} database contents differ from "
-             f"shards={base['shards']}")
-    widest = arms[-1]
-    payload = {
-        "schema": "repro-bench-ingest-sharded/1",
-        "workload": "churn",
-        "rounds": rounds,
-        "files_per_round": files,
-        "shard_counts": list(shard_counts),
-        "records_total": base["records"],
-        "speedup": (widest["storage_records_per_sec"]
-                    / base["storage_records_per_sec"]),
-    }
-    for arm in arms:
-        del arm["contents"]
-        payload[f"shards_{arm['shards']}"] = arm
-    return payload
-
-
 def run(rounds: int = 10, files: int = 120, repeats: int = 3) -> dict:
     """Both arms; returns the BENCH_results payload.
 
@@ -310,37 +225,7 @@ def main(argv=None) -> int:
                         help="merge the result payload into this JSON file")
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-records", type=int, default=10000)
-    parser.add_argument("--sharded", action="store_true",
-                        help="run the sharded-tier suite (1/2/4 shards, "
-                             "storage critical-path throughput) instead "
-                             "of the batched-vs-unbatched arms")
     args = parser.parse_args(argv)
-
-    if args.sharded:
-        result = run_sharded(rounds=args.rounds, files=args.files)
-        print(f"sharded churn workload: {result['records_total']} records "
-              f"over {args.rounds} rounds")
-        for count in result["shard_counts"]:
-            arm = result[f"shards_{count}"]
-            print(f"  shards={count}: storage critical path "
-                  f"{arm['storage_critical_path_s']:.3f}s "
-                  f"(serial {arm['storage_serial_s']:.3f}s, "
-                  f"{arm['storage_records_per_sec']:,.0f} rec/s, "
-                  f"{arm['parallel_drains']} parallel drains)")
-        print(f"  speedup at {result['shard_counts'][-1]} shards: "
-              f"{result['speedup']:.1f}x")
-        if args.out and args.out != "-":
-            merge_results(args.out, "ingest_sharded", result)
-            print(f"merged into {args.out}")
-        if result["records_total"] < args.min_records:
-            print(f"FAIL: drained {result['records_total']} records, "
-                  f"need >= {args.min_records}", file=sys.stderr)
-            return 1
-        if result["speedup"] < args.min_speedup:
-            print(f"FAIL: sharded speedup {result['speedup']:.2f}x below "
-                  f"the {args.min_speedup}x gate", file=sys.stderr)
-            return 1
-        return 0
 
     result = run(rounds=args.rounds, files=args.files,
                  repeats=args.repeats)

@@ -1,8 +1,8 @@
 """Planner vs naive PQL at million-record scale (wall-clock).
 
 The tentpole measurement for the query optimizer: one federated live
-engine (PR 9 shape -- records routed across several shard databases,
-``QueryEngine.live`` over their union) answers the same queries twice,
+engine (records routed across several databases, ``QueryEngine.live``
+over their union -- the merge-at-query federation) answers the same queries twice,
 once through the cost-based planner (secondary indexes + materialized
 ancestry view + CSR adjacency) and once through the naive pre-planner
 path (member scans plus the old name-only pushdown), via the engine's
@@ -107,8 +107,8 @@ def synthesize(files: int, fan: int, depth_links: int,
 
 
 def shard_databases(records, shards: int) -> list[ProvenanceDatabase]:
-    """Route the stream across shard databases by subject pnode, the
-    PR 9 storage-tier layout the federated engine merges at query."""
+    """Route the stream across ``shards`` databases by subject pnode,
+    the several-database layout the federated engine merges at query."""
     buckets: list[list] = [[] for _ in range(shards)]
     for record in records:
         buckets[record.subject.pnode % shards].append(record)

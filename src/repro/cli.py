@@ -503,8 +503,6 @@ BENCH_SCHEMA = "repro-bench/1"
 BENCH_SUITES = {
     "ingest": ("bench_ingest",
                {}, {"rounds": 2, "files": 24, "repeats": 1}),
-    "ingest_sharded": ("bench_ingest:run_sharded",
-                       {}, {"rounds": 2, "files": 24}),
     "incremental_query": ("bench_incremental_query",
                           {}, {"rounds": 3, "files": 30}),
     "obs_overhead": ("bench_obs_overhead",
@@ -640,7 +638,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for workload_cls in ALL_WORKLOADS:
         workload = workload_cls(scale=args.scale)
         base = run_local(workload, provenance=False)
-        passv2 = run_local(workload, provenance=True, shards=args.shards)
+        passv2 = run_local(workload, provenance=True)
         print(f"{workload.name:22s}{base.elapsed:>9.1f}s"
               f"{passv2.elapsed:>9.1f}s"
               f"{overhead_pct(base, passv2):>9.1f}%")
@@ -673,14 +671,7 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
             print(f"crashtest: unknown workload {name!r} "
                   f"(have: {', '.join(sorted(WORKLOADS))})", file=sys.stderr)
             return 2
-    config = None
-    if args.shards != 1:
-        import dataclasses
-
-        from repro.crashlab.workloads import BOOT
-
-        config = dataclasses.replace(BOOT, shards=args.shards)
-    report = explore(names, seed=args.seed, config=config)
+    report = explore(names, seed=args.seed)
     if args.json:
         print(report.render_json())
     else:
@@ -716,15 +707,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
           f"freezes={kernel.analyzer.freezes}")
     print(f"  distributor   cached={kernel.distributor.records_cached} "
           f"flushed={kernel.distributor.records_flushed}")
-    for log in lasagna.shard_logs:
-        print(f"  lasagna       [{log.volume_name}] flushes={log.flushes} "
-              f"log-bytes={log.bytes_logged}")
-    for waldo in tier.waldos("pass"):
-        print(f"  waldo         [{waldo.name}] "
-              f"records={len(waldo.database)} sizes={waldo.sizes()}")
+    log = lasagna.log
+    print(f"  lasagna       [{log.volume_name}] flushes={log.flushes} "
+          f"log-bytes={log.bytes_logged}")
+    waldo = tier.waldo("pass")
+    print(f"  waldo         [{waldo.name}] "
+          f"records={len(waldo.database)} sizes={waldo.sizes()}")
     sizes = tier.sizes()
-    print(f"  tier          {len(tier.volumes())} volume(s) x "
-          f"{tier.shards_per_volume} shard(s) total={sizes['total']}")
+    print(f"  tier          {len(tier.volumes())} volume(s) "
+          f"total={sizes['total']}")
     return 0
 
 
@@ -810,9 +801,6 @@ def main(argv: list[str] | None = None) -> int:
                             "(default %(default)s)")
     bench.add_argument("--json", action="store_true",
                        help="machine-readable comparison report")
-    bench.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="storage-tier shards per PASS volume for "
-                            "the workload table (default %(default)s)")
     bench.set_defaults(func=cmd_bench)
 
     stats = sub.add_parser(
@@ -948,9 +936,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="fault-plan seed (default %(default)s)")
     crashtest.add_argument("--json", action="store_true",
                            help="machine-readable report for CI")
-    crashtest.add_argument("--shards", type=int, default=1, metavar="N",
-                           help="storage-tier shards per PASS volume "
-                                "(default %(default)s)")
     crashtest.set_defaults(func=cmd_crashtest)
 
     inspect = sub.add_parser("inspect",

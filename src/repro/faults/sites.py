@@ -69,16 +69,16 @@ SITES: tuple[SiteSpec, ...] = (
              "it for recovery)"),
     SiteSpec("shard.drain.pre", "storage",
              (),
-             "the storage tier is about to drain one shard's Waldo "
-             "(payload: volume, shard index, queued segments); crashing "
-             "here dies between shards -- already-drained shards are in "
-             "their databases, this one and later ones recover from "
+             "the storage tier is about to drain one PASS volume's "
+             "Waldo (payload: volume, queued segments); crashing here "
+             "dies between volume drains -- already-drained volumes are "
+             "in their databases, this one and later ones recover from "
              "their logs"),
     SiteSpec("federate.merge", "storage",
              (),
              "the tier is assembling the federated source list (every "
-             "shard database) for a live query engine; an io_error here "
-             "models a shard refusing queries"),
+             "PASS volume's database) for a live query engine; an "
+             "io_error here models a volume refusing queries"),
     SiteSpec("distributor.flush", "core",
              (),
              "cached transient-object records are about to materialize "

@@ -35,7 +35,6 @@ OVERHEAD_BUDGET_PCT = 5.0
 #: max(budget, baseline + slack).
 COMPARE_METRICS = {
     "ingest": ("speedup", "higher"),
-    "ingest_sharded": ("speedup", "higher"),
     "incremental_query": ("speedup", "higher"),
     "obs_overhead": ("overhead_pct", "lower"),
     "pql_perf": ("speedup", "higher"),
@@ -44,8 +43,6 @@ COMPARE_METRICS = {
 #: Informational (never gating) per-suite metrics worth reporting.
 REPORT_METRICS = {
     "ingest": ("batched.records_per_sec", "unbatched.records_per_sec"),
-    "ingest_sharded": ("shards_1.storage_records_per_sec",
-                       "shards_4.storage_records_per_sec"),
     "obs_overhead": ("disabled_overhead_pct",),
     "pql_perf": ("point_lookup.speedup", "ancestry.speedup",
                  "records_total"),

@@ -11,20 +11,18 @@ Engine lifecycle
 the graph from the sources' current records, then *subscribes* to each
 source so every record the source ingests afterwards is spliced into the
 graph via :meth:`OEMGraph.apply` -- the engine stays current without
-ever being rebuilt.  ``System.query_engine()``, ``Waldo.query_engine()``
-and the CLI all hand out the same live engine instead of constructing
-their own; a sync is an O(new records) update, not an O(total history)
-rebuild.
+ever being rebuilt.  ``System.query_engine()`` builds one live engine
+over every PASS volume's database and hands out that same engine
+forever (``System.query`` goes through it); a sync is an O(new
+records) update, not an O(total history) rebuild.
 
 Sources are duck-typed: anything with ``all_records()`` works, and
 anything that also has ``subscribe(listener)`` (the push feed
 ``ProvenanceDatabase`` exposes) keeps the engine live.  The graph
 receives records; it never pulls them from storage (lint rule PL210).
 
-:meth:`from_records` and :meth:`from_databases` remain as thin
-compatibility wrappers -- ``from_records`` yields a static snapshot
-engine over a plain stream, ``from_databases`` delegates to
-:meth:`live`.
+:meth:`from_records` is the other way in: a static snapshot engine
+over a plain record stream, with no source to stay live against.
 
 Plan cache
 ----------
@@ -177,15 +175,9 @@ class QueryEngine:
     @classmethod
     def from_records(cls, records: Iterable[ProvenanceRecord],
                      obs=NULL_OBS) -> "QueryEngine":
-        """Compatibility wrapper: a static snapshot engine over a raw
-        record stream (no source to stay live against)."""
+        """A static snapshot engine over a raw record stream (no
+        source to stay live against)."""
         return cls(OEMGraph.build(records), obs=obs)
-
-    @classmethod
-    def from_databases(cls, databases, obs=NULL_OBS) -> "QueryEngine":
-        """Compatibility wrapper: delegates to :meth:`live`, so the
-        returned engine tracks the databases as they grow."""
-        return cls.live(databases, obs=obs)
 
     # -- live maintenance ----------------------------------------------------------
 

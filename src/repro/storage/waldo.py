@@ -8,13 +8,12 @@ machine died mid-write -- and are kept aside rather than entering the
 database, exactly the recovery behaviour the NFS transaction design was
 built for (section 6.1.2).
 
-Waldo also serves reads: the query engine goes through Waldo rather
-than touching the database directly.
+Waldo also serves reads: its database is one of the sources of the
+system's live query engine (``System.query_engine()``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.core.records import Attr, ProvenanceRecord
@@ -24,12 +23,12 @@ from repro.storage.log import LogSegment, ProvenanceLog
 
 
 class Waldo:
-    """One Waldo daemon per shard log (one per PASS volume unsharded)."""
+    """One Waldo daemon per PASS volume."""
 
     def __init__(self, log: ProvenanceLog,
                  database: Optional[ProvenanceDatabase] = None,
                  name: str = "waldo", obs=NULL_OBS, faults=None,
-                 batching: bool = True, insert_lock=None, archive=None):
+                 batching: bool = True, archive=None):
         self.log = log
         self.database = database or ProvenanceDatabase(name)
         self.name = name
@@ -40,12 +39,6 @@ class Waldo:
         self.batching = batching
         #: Fault injector (repro.faults); None keeps drain() bare.
         self._faults = faults
-        #: Held around the database insert (and thus the push-feed
-        #: fan-out into any live OEM graph) when the storage tier drains
-        #: shards in parallel: the transaction walk runs concurrently,
-        #: the merge into shared query state does not.  None (the
-        #: single-shard default) keeps the path lock-free.
-        self._insert_lock = insert_lock
         #: Optional :class:`repro.storage.tier.SegmentArchive` that
         #: retains drained segments (bounded by its compaction policy).
         self.archive = archive
@@ -56,7 +49,6 @@ class Waldo:
         self.drains = 0
         log.on_segment_closed = self._segment_closed
         self._pending_segments: list[LogSegment] = []
-        self._engine = None
         obs.add_collector("waldo", self._obs_counters, volume=name)
 
     def _obs_counters(self) -> dict:
@@ -150,18 +142,6 @@ class Waldo:
             self.orphaned.extend(batch)
         if not ready:
             return 0
-        # The insert lock serializes the push feed into the shared
-        # federated OEM graph; with no subscribers the database is
-        # private to this shard's drain and inserts run lock-free.
-        lock = self._insert_lock
-        if lock is not None and self.database.has_subscribers:
-            with lock:
-                self._insert(ready)
-        else:
-            self._insert(ready)
-        return len(ready)
-
-    def _insert(self, ready: list[ProvenanceRecord]) -> None:
         if self.batching:
             with self.obs.span("waldo.drain_batch", layer="waldo",
                                volume=self.name) as span:
@@ -171,6 +151,7 @@ class Waldo:
             insert = self.database.insert
             for record in ready:
                 insert(record)
+        return len(ready)
 
     # -- crash simulation --------------------------------------------------------------
 
@@ -189,34 +170,7 @@ class Waldo:
                                           key=lambda seg: seg.index)
         return len(pending)
 
-    # -- query service -----------------------------------------------------------------
-
-    def query_engine(self):
-        """Deprecated: a live PQL engine over this one shard's database.
-
-        Under sharding a volume's provenance spans several databases;
-        query through ``System.query_engine()`` (the tier's federated
-        engine) instead.  Kept as a thin wrapper because 'Waldo is also
-        responsible for accessing the database on behalf of the query
-        engine' (section 5.1) was the original API.
-        """
-        warnings.warn(
-            "Waldo.query_engine() is deprecated; use "
-            "System.query_engine() (the StorageTier federated engine)",
-            DeprecationWarning, stacklevel=2)
-        return self._shard_engine()
-
-    def _shard_engine(self):
-        """The single live engine over this shard's database -- built
-        once, then kept current by the database's push feed."""
-        if self._engine is None:
-            from repro.pql.engine import QueryEngine
-            self._engine = QueryEngine.live([self.database], obs=self.obs)
-        return self._engine
-
-    def query(self, text: str) -> list:
-        """Run one PQL query against this shard's provenance."""
-        return self._shard_engine().execute(text)
+    # -- rollups -----------------------------------------------------------------------
 
     def sizes(self) -> dict[str, int]:
         """Database / index byte sizes (Table 3)."""

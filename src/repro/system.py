@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from typing import Iterable, Optional
 
 from repro.core.pnode import ObjectRef
@@ -30,8 +29,7 @@ from repro.kernel.params import SimParams
 from repro.kernel.syscalls import Syscalls
 from repro.obs import Observability
 from repro.storage.database import ProvenanceDatabase
-from repro.storage.tier import CompactionPolicy, StorageTier
-from repro.storage.waldo import Waldo
+from repro.storage.tier import StorageTier
 
 #: "Caller did not pass this kwarg" sentinel, so explicit None (e.g.
 #: faults=None) still overrides a config that set something else.
@@ -67,16 +65,6 @@ class BootConfig:
     #: boots the per-record legacy pipeline *and* zeroes the log's
     #: group-commit thresholds -- the ingest benchmark's baseline arm.
     batching: bool = True
-    #: Storage topology (see repro.storage.tier).  ``shards`` splits
-    #: each PASS volume's WAP log / Waldo / database into that many
-    #: intra-volume shards (1 = the classic single pipeline, byte
-    #: identical); ``shard_key`` is ``"pnode"`` (hash the subject pnode
-    #: across shards) or ``"volume"`` (one shard per volume regardless
-    #: of count); ``compaction`` bounds the drained-segment archives
-    #: (None = the default CompactionPolicy).
-    shards: int = 1
-    shard_key: str = "pnode"
-    compaction: Optional[CompactionPolicy] = None
 
     def with_overrides(self, **overrides) -> "BootConfig":
         """A copy with every non-``_UNSET`` override applied."""
@@ -91,8 +79,8 @@ class System:
     def __init__(self, kernel: Kernel, tier: StorageTier,
                  provenance: bool):
         self.kernel = kernel
-        #: The storage facade: sharded WAP logs, Waldo drains, shard
-        #: databases, query federation (repro.storage.tier).
+        #: The storage facade: one WAP log, Waldo and database per PASS
+        #: volume, plus query federation (repro.storage.tier).
         self.tier = tier
         self.provenance = provenance
         self._query_engine = None
@@ -115,9 +103,6 @@ class System:
              journal=_UNSET,
              faults=_UNSET,
              batching=_UNSET,
-             shards=_UNSET,
-             shard_key=_UNSET,
-             compaction=_UNSET,
              config: Optional[BootConfig] = None) -> "System":
         """Boot a machine from a :class:`BootConfig`.
 
@@ -146,8 +131,7 @@ class System:
             plain_volumes=plain_volumes, provenance=provenance,
             hostname=hostname, clock=clock, observability=observability,
             tracing=tracing, journal=journal, faults=faults,
-            batching=batching, shards=shards, shard_key=shard_key,
-            compaction=compaction)
+            batching=batching)
         sim_params = cfg.params or SimParams()
         if not cfg.batching:
             # The unbatched arm must not group-commit either: zeroed
@@ -164,9 +148,8 @@ class System:
                         obs=obs, faults=cfg.faults)
         if cfg.faults is not None:
             cfg.faults.bind_obs(obs)
-        tier = StorageTier(shards=cfg.shards, shard_key=cfg.shard_key,
-                           compaction=cfg.compaction, obs=kernel.obs,
-                           faults=cfg.faults, batching=cfg.batching)
+        tier = StorageTier(obs=kernel.obs, faults=cfg.faults,
+                           batching=cfg.batching)
         for name in cfg.pass_volumes:
             volume = kernel.add_volume(name, f"/{name}", pass_capable=True)
             if cfg.provenance:
@@ -203,23 +186,8 @@ class System:
 
     # -- provenance plumbing -----------------------------------------------------------------
 
-    @property
-    def waldos(self) -> dict[str, Waldo]:
-        """Deprecated: volume -> shard-0 Waldo.
-
-        The pre-tier API exposed one Waldo per volume; under sharding a
-        volume has several.  This view keeps old call sites working
-        (it IS the complete picture at ``shards=1``) but new code
-        should go through :attr:`tier`.
-        """
-        warnings.warn(
-            "System.waldos is deprecated; use System.tier "
-            "(StorageTier) -- a sharded volume has several Waldos",
-            DeprecationWarning, stacklevel=2)
-        return self.tier.shard0_waldos()
-
     def sync(self) -> int:
-        """Flush all logs and drain every shard; returns records inserted.
+        """Flush all logs and drain every volume; returns records inserted.
 
         The live query engine (if one has been handed out) absorbs the
         drained records through the databases' push feed, so a sync is
@@ -233,13 +201,12 @@ class System:
         return self.tier.sizes()
 
     def databases(self) -> list[ProvenanceDatabase]:
-        """Every shard database of every volume."""
+        """Every PASS volume's database."""
         return self.tier.databases()
 
     def database(self, volume: Optional[str] = None) -> ProvenanceDatabase:
-        """One volume's shard-0 database (first PASS volume by default).
-        Under sharding a volume's provenance spans all of its shard
-        databases -- use :meth:`databases` or the query engine."""
+        """One PASS volume's database (the first by default); raises
+        :class:`~repro.core.errors.NotPassVolume` for any other name."""
         return self.tier.database(volume)
 
     # -- queries --------------------------------------------------------------------------

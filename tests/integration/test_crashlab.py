@@ -95,7 +95,7 @@ class TestLiveEngineAcrossCrash:
         engine = system.query_engine()
         with pytest.raises(FaultError):
             churn(system)
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         lasagna = system.kernel.volume("pass").lasagna
         waldo.crash()
         lasagna.crash()

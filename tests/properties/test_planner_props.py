@@ -3,8 +3,8 @@
 The optimizer is only allowed to change *where candidate rows come
 from*, never which rows come back.  These properties drive random
 record streams and generated queries through both arms of the same
-engine (and through a sharded, federated engine) and require identical
-answers; separately, indexes and the ancestry view maintained
+engine (and through a federated engine over several databases) and
+require identical answers; separately, indexes and the ancestry view maintained
 incrementally through ``apply``/``apply_batch`` must match structures
 rebuilt from scratch over the final graph -- including after a
 crash/recover replay through the storage tier.
@@ -114,12 +114,12 @@ def test_planned_equals_naive(stream, query):
 @given(streams, queries())
 @settings(max_examples=100, deadline=None)
 def test_planned_equals_naive_federated(stream, query):
-    """The PR 9 shape: records sharded across databases, one live
-    engine over the union."""
-    shards = [ProvenanceDatabase(f"s{index}") for index in range(3)]
+    """Records split across databases, one live engine over the
+    union."""
+    databases = [ProvenanceDatabase(f"d{index}") for index in range(3)]
     for record in stream:
-        shards[record.subject.pnode % 3].insert(record)
-    engine = QueryEngine.live(shards, check=False)
+        databases[record.subject.pnode % 3].insert(record)
+    engine = QueryEngine.live(databases, check=False)
     assert_arms_agree(engine, query)
 
 
@@ -195,36 +195,37 @@ def test_patched_view_equals_recomputed(stream, cut):
 # -- crash -> recover replay --------------------------------------------------
 
 def test_crash_recover_replay_keeps_planner_sound():
-    """Sharded system, queries warm the indexes, machine dies with
-    undrained logs, recovery replays through the databases' push feeds:
-    the maintained indexes must absorb the replayed records and keep
-    planned == naive."""
+    """Two-PASS-volume system, queries warm the indexes, machine dies
+    with undrained logs, recovery replays through both databases' push
+    feeds: the maintained indexes must absorb the replayed records of
+    both volumes and keep planned == naive."""
     from repro.system import System
     from tests.conftest import write_file
 
-    system = System.boot(shards=4)
-    write_file(system, "/pass/before", b"old")
+    system = System.boot(pass_volumes=("a", "b"))
+    write_file(system, "/a/before", b"old")
     system.sync()
     engine = system.query_engine()
     q_name = ('select F from Provenance.file as F '
-              'where F.name = "/pass/after"')
+              'where F.name = "/b/after"')
     q_closure = ('select A from Provenance.file as F, F.input* as A '
-                 'where F.name = "/pass/out"')
+                 'where F.name = "/a/out"')
     for query in (q_name, q_closure):
         engine.execute(query)               # build indexes pre-crash
     assert engine.catalog is not None
 
+    write_file(system, "/b/after", b"other volume")
     with system.process(argv=["maker"]) as proc:
-        fd = proc.open("/pass/after", "w")
+        fd = proc.open("/a/after", "w")
         proc.write(fd, b"new")
         proc.close(fd)
-        src = proc.open("/pass/after", "r")
+        src = proc.open("/a/after", "r")
         proc.read(src)
         proc.close(src)
-        out = proc.open("/pass/out", "w")
+        out = proc.open("/a/out", "w")
         proc.write(out, b"derived")
         proc.close(out)
-    # No sync: the records sit in shard logs.  Die and recover.
+    # No sync: the records sit in the volume logs.  Die and recover.
     system.tier.crash()
     report = system.tier.recover(consume=True)
     assert report.committed_records
@@ -242,5 +243,5 @@ def test_crash_recover_replay_keeps_planner_sound():
     names = {getattr(row, "name", None)
              for row in engine.execute(
                  'select A from Provenance.file as F, F.input* as A '
-                 'where F.name = "/pass/out"')}
-    assert "/pass/after" in names
+                 'where F.name = "/a/out"')}
+    assert "/a/after" in names

@@ -25,7 +25,7 @@ class TestBootConfig:
     def test_boot_from_config(self):
         system = System.boot(config=BootConfig(
             pass_volumes=("vol",), plain_volumes=(), hostname="boxy"))
-        assert list(system.waldos) == ["vol"]
+        assert system.tier.volumes() == ["vol"]
         assert system.kernel.hostname == "boxy"
 
     def test_kwargs_override_config(self):

@@ -151,10 +151,10 @@ class TestLiveEngine:
         db.insert(R(2, 0, Attr.TYPE, ObjType.FILE))
         assert engine.execute(count) == [2]
 
-    def test_from_databases_is_live(self):
+    def test_live_engine_starts_from_an_empty_database(self):
         from repro.storage.database import ProvenanceDatabase
         db = ProvenanceDatabase("a")
-        engine = QueryEngine.from_databases([db])
+        engine = QueryEngine.live([db])
         db.insert(R(1, 0, Attr.NAME, "/x"))
         assert engine.graph.named("/x")
 
@@ -162,15 +162,14 @@ class TestLiveEngine:
         engine = QueryEngine.from_records([R(1, 0, Attr.NAME, "/x")])
         assert engine.graph.named("/x")
 
-    def test_waldo_returns_the_same_live_engine(self):
+    def test_waldo_drain_reaches_a_live_engine(self):
         from repro.kernel.clock import SimClock
         from repro.kernel.params import LogParams
         from repro.storage.log import ProvenanceLog
         from repro.storage.waldo import Waldo
         log = ProvenanceLog(SimClock(), LogParams(max_size=1 << 30))
         waldo = Waldo(log)
-        engine = waldo.query_engine()
-        assert waldo.query_engine() is engine
+        engine = QueryEngine.live([waldo.database])
         log.append(R(1, 0, Attr.NAME, "/via-drain"))
         log.flush()
         log.rotate()
@@ -221,13 +220,13 @@ class TestPlanCache:
 
 
 class TestEngine:
-    def test_from_databases_merges(self):
+    def test_live_merges_databases(self):
         from repro.storage.database import ProvenanceDatabase
         db1 = ProvenanceDatabase("a")
         db2 = ProvenanceDatabase("b")
         db1.insert(R(1, 0, Attr.TYPE, ObjType.FILE))
         db2.insert(R(2, 0, Attr.TYPE, ObjType.FILE))
-        engine = QueryEngine.from_databases([db1, db2])
+        engine = QueryEngine.live([db1, db2])
         assert engine.execute("select count(F) from Provenance.file as F") \
             == [2]
 

@@ -72,12 +72,14 @@ class TestScalarFunctions:
 
 
 class TestWaldoQueryService:
+    """Queries over what Waldo drained, through the system's one live
+    engine (Waldo's database is one of its sources)."""
+
     def test_waldo_answers_queries(self, system):
         from tests.conftest import write_file
         write_file(system, "/pass/through-waldo", b"x")
         system.sync()
-        waldo = system.waldos["pass"]
-        rows = waldo.query(
+        rows = system.query(
             'select F.name from Provenance.file as F '
             'where F.name = "/pass/through-waldo"')
         assert rows == ["/pass/through-waldo"]
@@ -86,9 +88,8 @@ class TestWaldoQueryService:
         from tests.conftest import write_file
         write_file(system, "/pass/a", b"1")
         system.sync()
-        waldo = system.waldos["pass"]
-        assert waldo.query("select count(F) from Provenance.file as F")
+        assert system.query("select count(F) from Provenance.file as F")
         write_file(system, "/pass/b", b"2")
         system.sync()
-        counts = waldo.query("select count(F) from Provenance.file as F")
+        counts = system.query("select count(F) from Provenance.file as F")
         assert counts[0] >= 2

@@ -1,140 +1,102 @@
-"""StorageTier facade unit tests: routing, topology, rollups, archive.
+"""StorageTier facade unit tests: layout, lookups, rollups, archive.
 
-The facade contract: ``shards=1`` is the classic pipeline (same labels,
-same single database), sharded topologies route records stably by
-subject pnode, ``sizes()`` never undercounts, the drained-segment
-archive stays within its compaction policy, and the legacy accessors
-(``System.waldos``, ``Waldo.query_engine``) still work but warn.
+The facade contract: every PASS volume has exactly one pipeline (one
+WAP log, one Waldo, one database, one archive) labelled by the volume
+name, lookups of anything else raise ``NotPassVolume`` naming the
+volume, ``sizes()`` sums over the volumes, and the drained-segment
+archive stays within its compaction policy.
 """
 
 import pytest
 
-from repro.core.pnode import shard_of
-from repro.storage.tier import (
-    CompactionPolicy,
-    SegmentArchive,
-    StorageTier,
-)
-from repro.system import BootConfig, System
+from repro.core.errors import NotPassVolume
+from repro.storage.tier import CompactionPolicy, SegmentArchive
+from repro.system import System
+
+TWO_VOLUMES = ("a", "b")
 
 
-def _write_files(system, count=6, payload=b"x" * 64):
+def _write_files(system, count=6, payload=b"x" * 64, roots=("pass",)):
     with system.process(argv=["writer"]) as proc:
-        for index in range(count):
-            fd = proc.open(f"/pass/f{index}.dat", "w")
-            proc.write(fd, payload)
-            proc.close(fd)
+        for root in roots:
+            for index in range(count):
+                fd = proc.open(f"/{root}/f{index}.dat", "w")
+                proc.write(fd, payload)
+                proc.close(fd)
     system.sync()
 
 
-class TestShardRouting:
-    def test_stable_and_in_range(self):
-        for pnode in range(0, 5000, 7):
-            index = shard_of(pnode, 4)
-            assert 0 <= index < 4
-            assert shard_of(pnode, 4) == index
-
-    def test_single_shard_is_identity(self):
-        assert all(shard_of(pnode, 1) == 0 for pnode in range(100))
-
-    def test_spreads_consecutive_pnodes(self):
-        """Pnode numbers are near-consecutive per volume; the mix must
-        not map runs of them onto one shard."""
-        counts = [0, 0, 0, 0]
-        for pnode in range(1000):
-            counts[shard_of(pnode, 4)] += 1
-        assert min(counts) > 125          # perfectly even would be 250
-
-    def test_invalid_topology_rejected(self):
-        with pytest.raises(ValueError):
-            StorageTier(shards=0)
-        with pytest.raises(ValueError):
-            StorageTier(shards=2, shard_key="rack")
-
-
-class TestSingleShardIdentity:
+class TestOnePipelinePerVolume:
     def test_labels_and_layout_match_the_classic_pipeline(self):
         system = System.boot()
         tier = system.tier
-        assert tier.shard_count("pass") == 1
+        assert tier.volumes() == ["pass"]
         assert tier.waldo("pass").name == "pass"
-        assert tier.lasagna("pass").log is tier.lasagna("pass").shard_logs[0]
+        assert tier.waldo("pass").log is tier.lasagna("pass").log
+        assert tier.database("pass") is tier.waldo("pass").database
+        assert tier.waldo("pass").archive is tier.archive("pass")
         assert len(system.databases()) == 1
 
-    def test_volume_key_ignores_shard_count(self):
-        system = System.boot(shards=4, shard_key="volume")
-        assert system.tier.shard_count("pass") == 1
 
+class TestVolumeLookup:
+    def test_database_without_pass_volumes_raises_not_pass_volume(self):
+        system = System.boot(provenance=False)
+        with pytest.raises(NotPassVolume, match="no PASS volume"):
+            system.database()
 
-class TestShardedTopology:
-    def test_shard_labels_carry_the_shard_suffix(self):
-        system = System.boot(shards=3)
-        names = [waldo.name for waldo in system.tier.waldos("pass")]
-        assert names == ["pass/s0", "pass/s1", "pass/s2"]
-
-    def test_records_route_across_shard_databases(self):
-        system = System.boot(shards=4)
-        _write_files(system, count=12)
-        populated = [db for db in system.tier.databases("pass")
-                     if len(db)]
-        assert len(populated) >= 2
-
-    def test_parallel_drain_runs_with_quiet_observability(self):
-        system = System.boot(shards=4, observability=False)
-        _write_files(system)
-        assert system.tier.parallel_drains > 0
-
-    def test_tracing_forces_serial_drain(self):
-        system = System.boot(shards=4, tracing=True)
-        _write_files(system)
-        assert system.tier.parallel_drains == 0
+    def test_database_of_plain_volume_raises_not_pass_volume(self):
+        system = System.boot()
+        with pytest.raises(NotPassVolume, match="'scratch'"):
+            system.database("scratch")
+        with pytest.raises(NotPassVolume, match="'scratch'"):
+            system.tier.waldo("scratch")
 
 
 class TestSizesRollup:
-    def test_totals_are_the_sum_of_every_shard(self):
-        system = System.boot(shards=4)
-        _write_files(system, count=10)
-        rollup = system.tier.sizes("pass")
-        shard_sizes = [waldo.database.sizes()
-                       for waldo in system.tier.waldos("pass")]
+    def test_totals_are_the_sum_of_every_volume(self):
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, count=5, roots=TWO_VOLUMES)
+        rollup = system.tier.sizes()
+        volume_sizes = [system.tier.waldo(volume).sizes()
+                        for volume in TWO_VOLUMES]
         for key in ("database", "indexes", "total"):
-            assert rollup[key] == sum(sizes[key] for sizes in shard_sizes)
-        assert set(rollup["per_shard"]) == {
-            waldo.name for waldo in system.tier.waldos("pass")}
-        assert rollup["total"] > 0
+            assert rollup[key] == sum(sizes[key] for sizes in volume_sizes)
+        assert set(rollup["per_volume"]) == set(TWO_VOLUMES)
+        assert all(sizes["total"] > 0 for sizes in volume_sizes)
 
     def test_system_sizes_matches_tier_rollup(self):
-        system = System.boot(shards=2)
-        _write_files(system)
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, roots=TWO_VOLUMES)
         assert system.sizes() == system.tier.sizes()
 
-    def test_single_shard_rollup_matches_waldo_sizes(self):
-        system = System.boot()
-        _write_files(system)
-        waldo_sizes = system.tier.waldo("pass").sizes()
-        rollup = system.tier.sizes("pass")
+    def test_one_volume_rollup_matches_waldo_sizes(self):
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, roots=TWO_VOLUMES)
+        waldo_sizes = system.tier.waldo("a").sizes()
+        rollup = system.tier.sizes("a")
         for key in ("database", "indexes", "total"):
             assert rollup[key] == waldo_sizes[key]
+        assert list(rollup["per_volume"]) == ["a"]
 
 
 class TestObservability:
     def test_tier_layer_reports_counters(self):
-        system = System.boot(shards=2)
-        _write_files(system)
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, roots=TWO_VOLUMES)
         system.query_engine()
         stats = system.stats()
         assert "tier" in stats
         counters = stats["tier"]["counters"]
-        assert counters["shards"] == 2
-        assert counters["drains"] > 0
+        assert counters["volumes"] == 2
+        assert counters["drains"] == 1
         assert counters["federations"] == 1
-        assert counters["segments_archived"] > 0
+        assert counters["segments_archived"] >= 2
 
-    def test_per_shard_waldo_metrics_have_shard_labels(self):
-        system = System.boot(shards=2)
-        _write_files(system)
+    def test_waldo_metrics_are_labelled_by_volume(self):
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, roots=TWO_VOLUMES)
         volumes = system.stats()["waldo"].get("volumes", {})
-        assert {"pass/s0", "pass/s1"} <= set(volumes)
+        assert set(TWO_VOLUMES) <= set(volumes)
 
 
 class TestArchiveCompaction:
@@ -179,45 +141,27 @@ class TestArchiveCompaction:
         assert archive.stats()["segments_compacted"] == 5
 
     def test_drained_segments_reach_the_tier_archives(self):
-        system = System.boot(shards=2)
-        _write_files(system, count=8)
-        archived = sum(archive.segments_archived
-                       for archive in system.tier.archives("pass"))
-        assert archived > 0
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        _write_files(system, count=4, roots=TWO_VOLUMES)
+        archives = [system.tier.archive(volume) for volume in TWO_VOLUMES]
+        assert all(archive.segments_archived > 0 for archive in archives)
         rollup = system.tier.compact()
-        assert rollup["bytes_reclaimed"] >= 0
-        assert all(not archive.segments
-                   for archive in system.tier.archives("pass"))
-
-
-class TestDeprecationWrappers:
-    def test_system_waldos_warns_and_returns_shard_zero(self):
-        system = System.boot(shards=4)
-        with pytest.warns(DeprecationWarning, match="System.tier"):
-            view = system.waldos
-        assert list(view) == ["pass"]
-        assert view["pass"] is system.tier.waldo("pass", shard=0)
-
-    def test_waldo_query_engine_warns_but_still_serves(self):
-        system = System.boot()
-        _write_files(system, count=2)
-        waldo = system.tier.waldo("pass")
-        with pytest.warns(DeprecationWarning, match="query_engine"):
-            engine = waldo.query_engine()
-        with pytest.warns(DeprecationWarning):
-            assert waldo.query_engine() is engine
+        assert rollup["bytes_reclaimed"] > 0
+        assert all(not archive.segments for archive in archives)
 
 
 class TestCrashRecover:
     def test_tier_crash_and_recover_round_trip(self):
-        system = System.boot(shards=4)
+        system = System.boot(pass_volumes=TWO_VOLUMES)
         with system.process(argv=["writer"]) as proc:
-            for index in range(6):
-                fd = proc.open(f"/pass/g{index}.dat", "w")
-                proc.write(fd, b"y" * 48)
-                proc.close(fd)
+            for volume in TWO_VOLUMES:
+                for index in range(3):
+                    fd = proc.open(f"/{volume}/g{index}.dat", "w")
+                    proc.write(fd, b"y" * 48)
+                    proc.close(fd)
         # Rotate segments out but never drain: everything is in logs.
-        for log in system.tier.lasagna("pass").shard_logs:
+        for volume in TWO_VOLUMES:
+            log = system.tier.lasagna(volume).log
             log.flush()
             log.rotate()
         before = sum(len(db) for db in system.databases())
@@ -225,6 +169,7 @@ class TestCrashRecover:
         system.tier.crash()
         report = system.tier.recover(consume=True)
         assert report.committed_records
+        assert all(len(db) for db in system.databases())
         after = sum(len(db) for db in system.databases())
         assert after == len(report.committed_records)
         second = system.tier.recover(consume=True)
