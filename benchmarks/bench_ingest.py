@@ -9,7 +9,7 @@ pipeline traversal per record, no group commit -- the pre-batching
 pipeline).
 
 The workload is chosen to stress every batched stage: chunked writes
-(duplicate-elimination storms for the analyzer's hot-triple cache),
+(duplicate-elimination storms for the analyzer's dedup sets),
 process churn (identity bursts), cross-process overwrites (freeze
 traffic), and DPAPI bulk disclosure (big proto batches through
 ``disclosed_write``).

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from collections import OrderedDict
-
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord, RecordBatch, Value
@@ -71,9 +69,6 @@ class Analyzer:
     data structures.
     """
 
-    #: Capacity of the hot-triple duplicate cache (see submit_batch).
-    HOT_TRIPLES = 4096
-
     def __init__(self, emit: Callable[[ProvenanceRecord], None],
                  clock=None, record_cost: float = 0.0,
                  emit_batch: Optional[Callable[[RecordBatch], None]] = None):
@@ -87,13 +82,6 @@ class Analyzer:
         #: freeze-emitted PREV_VERSION records keep their position in
         #: the batch) instead of going straight to ``emit``.
         self._batch_out: Optional[list] = None
-        #: LRU of (pnode, version, attr, value-key) quadruples already
-        #: processed: block-sized I/O re-submits the same few triples
-        #: hundreds of times, and a hit here classifies the record as a
-        #: duplicate without constructing anything.
-        self._hot: OrderedDict[tuple, None] = OrderedDict()
-        #: Ancestors (ObjectRefs) of each pnode's *current* version.
-        self._ancestors: dict[int, set[ObjectRef]] = {}
         #: Versions some object depends on: immutable from then on.
         self._observed: set[ObjectRef] = set()
         #: (attr, value-key) pairs already recorded, per (pnode, version).
@@ -141,7 +129,8 @@ class Analyzer:
         return self._registry.get(pnode)
 
     def forget(self, pnode: int) -> None:
-        """Drop a dead object from the registry (keeps ancestry sets)."""
+        """Drop a dead object from the registry (keeps its observed and
+        duplicate-elimination state)."""
         self._registry.pop(pnode, None)
 
     # -- record admission -----------------------------------------------------
@@ -154,7 +143,7 @@ class Analyzer:
 
         if isinstance(proto, ProvenanceRecord):
             # Already finalized (e.g. arrived over the NFS wire): dedup
-            # and ancestry-track, but do not re-version.
+            # and mark observed, but do not re-version.
             self._admit(proto.subject, proto.attr, proto.value)
             return
 
@@ -163,11 +152,6 @@ class Analyzer:
         if isinstance(value, ObjectRef) and proto.attr in Attr.ANCESTRY_ATTRS:
             self._avoid_cycle(subject, value)
         self._admit(subject.ref(), proto.attr, value)
-
-    def submit_many(self, protos) -> None:
-        """Admit a sequence of records in order."""
-        for proto in protos:
-            self.submit(proto)
 
     def submit_batch(self, protos) -> int:
         """Admit a sequence in one vectorized pass; returns emitted count.
@@ -181,11 +165,6 @@ class Analyzer:
         * duplicate elimination runs *before* record construction --
           one ``_seen``-set membership test per proto, with subject refs
           resolved once per run of protos about the same object;
-        * a capped LRU of hot (subject, attr, value-key) triples
-          short-circuits the duplicate storms block-sized I/O produces;
-          it is consulted (and fed) only at run boundaries -- inside a
-          run the ``_seen`` set is already at hand, so LRU maintenance
-          there would be pure overhead;
         * field validation happens here with per-class tests, so records
           are minted inline (the loop-local form of
           :func:`~repro.core.records.make_record`) instead of through
@@ -207,15 +186,14 @@ class Analyzer:
         self._batch_out = out
         try:
             seen_map = self._seen
-            hot = self._hot
-            hot_cap = self.HOT_TRIPLES
+            observed = self._observed
             dedup = self.dedup_enabled
             ancestry = Attr.ANCESTRY_ATTRS
             plain_types = _PLAIN_VALUE_TYPES
             out_append = out.append
             new_record = ProvenanceRecord.__new__
             record_cls = ProvenanceRecord
-            last_subject = last_ref = last_seen = None
+            last_subject = ref = seen = None
             for proto in protos:
                 if proto.__class__ is not ProtoRecord and isinstance(
                         proto, ProvenanceRecord):
@@ -246,19 +224,7 @@ class Analyzer:
                                 and not isinstance(attr, str)):
                     raise InvalidRecord(
                         f"attribute must be a non-empty string: {attr!r}")
-                if subject is last_subject:
-                    ref = last_ref
-                    seen = last_seen
-                    hkey = None
-                else:
-                    if dedup:
-                        hkey = (subject.pnode, subject.version, attr, vkey)
-                        if hkey in hot:
-                            hot.move_to_end(hkey)
-                            dropped += 1
-                            continue
-                    else:
-                        hkey = None
+                if subject is not last_subject:
                     ref = subject.ref()
                     if not isinstance(ref, ObjectRef):
                         raise InvalidRecord(
@@ -267,11 +233,7 @@ class Analyzer:
                     if seen is None:
                         seen = set()
                         seen_map[ref] = seen
-                    last_subject, last_ref, last_seen = subject, ref, seen
-                if hkey is not None:
-                    hot[hkey] = None
-                    if len(hot) > hot_cap:
-                        hot.popitem(last=False)
+                    last_subject = subject
                 dkey = (attr, vkey)
                 if dkey in seen:
                     if dedup:
@@ -285,7 +247,8 @@ class Analyzer:
                 fields["attr"] = attr
                 fields["value"] = value
                 if is_ref and attr in ancestry:
-                    self._note_edge(ref, value)
+                    # Something now depends on ``value``: immutable.
+                    observed.add(value)
                 emitted += 1
                 out_append(record)
         finally:
@@ -312,7 +275,7 @@ class Analyzer:
         else:
             seen.add(dedup_key)
         if record.is_ancestry:
-            self._note_edge(subject_ref, value)
+            self._observed.add(value)
         self.records_out += 1
         batch_out = self._batch_out
         if batch_out is not None:
@@ -342,33 +305,15 @@ class Analyzer:
     def freeze(self, subject: Freezable) -> int:
         """Create a new version of ``subject``; returns the new version.
 
-        The new version depends on the old one (PREV_VERSION edge), its
-        ancestor set inherits the old version's (contents persist across
-        versions), and its duplicate-elimination state starts fresh.
+        The new version depends on the old one (PREV_VERSION edge) and
+        its duplicate-elimination state starts fresh.
         """
         old_ref = subject.ref()
         subject.version += 1
         new_ref = subject.ref()
         self.freezes += 1
-        inherited = set(self._ancestors.get(subject.pnode, ()))
-        inherited.add(old_ref)
-        self._ancestors[subject.pnode] = inherited
         self._seen.setdefault(new_ref, set())
         if self.on_freeze is not None:
             self.on_freeze(subject, subject.version)
         self._admit(new_ref, Attr.PREV_VERSION, old_ref)
         return subject.version
-
-    def _note_edge(self, subject_ref: ObjectRef, value: ObjectRef) -> None:
-        """Fold ``value`` and its known ancestry into the subject's set,
-        and pin ``value`` as observed (immutable from now on)."""
-        anc = self._ancestors.setdefault(subject_ref.pnode, set())
-        anc.add(value)
-        anc.update(self._ancestors.get(value.pnode, ()))
-        self._observed.add(value)
-
-    # -- introspection ------------------------------------------------------------
-
-    def ancestors_of(self, pnode: int) -> frozenset[ObjectRef]:
-        """Known ancestry of the object's current version (testing aid)."""
-        return frozenset(self._ancestors.get(pnode, ()))

@@ -9,15 +9,15 @@ Engine lifecycle
 
 :meth:`QueryEngine.live` is the one construction path: it batch-builds
 the graph from the sources' current records, then *subscribes* to each
-source so every record the source ingests afterwards is spliced into the
-graph via :meth:`OEMGraph.apply` -- the engine stays current without
-ever being rebuilt.  ``System.query_engine()`` builds one live engine
-over every PASS volume's database and hands out that same engine
-forever (``System.query`` goes through it); a sync is an O(new
+source so every record group the source ingests afterwards is spliced
+into the graph via :meth:`OEMGraph.apply_batch` -- the engine stays
+current without ever being rebuilt.  ``System.query_engine()`` builds
+one live engine over every PASS volume's database and hands out that
+same engine forever (``System.query`` goes through it); a sync is an O(new
 records) update, not an O(total history) rebuild.
 
 Sources are duck-typed: anything with ``all_records()`` works, and
-anything that also has ``subscribe(listener)`` (the push feed
+anything that also has ``subscribe_batch(listener)`` (the push feed
 ``ProvenanceDatabase`` exposes) keeps the engine live.  The graph
 receives records; it never pulls them from storage (lint rule PL210).
 
@@ -143,31 +143,21 @@ class QueryEngine:
             span.tag("nodes", len(graph))
         engine = cls(graph, check=check, obs=obs, optimize=optimize)
         for source in sources:
-            # Prefer the batch feed (one graph splice per drained
-            # group); sources without one fall back to the per-record
-            # subscription.
+            # One graph splice per drained group; a source without a
+            # push feed stays a static snapshot.
             subscribe_batch = getattr(source, "subscribe_batch", None)
             if subscribe_batch is not None:
                 subscribe_batch(engine._apply_batch)
-                engine._subscriptions.append(
-                    (source, engine._apply_batch, True))
-                continue
-            subscribe = getattr(source, "subscribe", None)
-            if subscribe is not None:
-                subscribe(engine._apply)
-                engine._subscriptions.append(
-                    (source, engine._apply, False))
+                engine._subscriptions.append(source)
         return engine
 
     def detach(self) -> int:
         """Unhook this engine's push-feed subscriptions from its
-        sources (see :meth:`ProvenanceDatabase.unsubscribe`); the graph
-        freezes at its current state.  Returns feeds detached."""
+        sources (see :meth:`ProvenanceDatabase.unsubscribe_batch`); the
+        graph freezes at its current state.  Returns feeds detached."""
         detached = 0
-        for source, callback, batched in self._subscriptions:
-            name = "unsubscribe_batch" if batched else "unsubscribe"
-            unhook = getattr(source, name, None)
-            if unhook is not None and unhook(callback):
+        for source in self._subscriptions:
+            if source.unsubscribe_batch(self._apply_batch):
                 detached += 1
         self._subscriptions = []
         return detached
@@ -181,24 +171,10 @@ class QueryEngine:
 
     # -- live maintenance ----------------------------------------------------------
 
-    def _apply(self, record: ProvenanceRecord) -> None:
-        """Subscription callback: splice one record into the graph."""
-        self.graph.apply(record)
-        self.obs.inc("pql", "oem_records_applied")
-
     def _apply_batch(self, records) -> None:
         """Batch-subscription callback: splice one record group in."""
         count = self.graph.apply_batch(records)
         self.obs.inc("pql", "oem_records_applied", count)
-
-    def apply_records(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Feed a batch of records into the live graph directly (for
-        callers holding a stream rather than a subscribable source)."""
-        with self.obs.span("oem.apply", layer="pql") as span:
-            count = self.graph.apply_many(records)
-            span.tag("records", count)
-        self.obs.inc("pql", "oem_records_applied", count)
-        return count
 
     # -- compilation ------------------------------------------------------------
 

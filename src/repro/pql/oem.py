@@ -161,8 +161,8 @@ class OEMGraph:
         Applying a record stream through here yields a graph equivalent
         to :meth:`build` on the same stream: nodes, atoms, edges, member
         classification, identity sharing, and the name index are all
-        maintained eagerly.  Used by live query engines as Waldo drains
-        records into the database.
+        maintained eagerly.  The per-record reference for
+        :meth:`apply_batch`, which live query engines ride.
         """
         if record.attr in _FRAMING:
             return
@@ -191,14 +191,6 @@ class OEMGraph:
             self._note_atom_label(label)
             if catalog is not None:
                 catalog.note_atom(node, label, record.value)
-
-    def apply_many(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Apply a batch of records; returns how many were applied."""
-        count = 0
-        for record in records:
-            self.apply(record)
-            count += 1
-        return count
 
     def apply_batch(self, records: Iterable[ProvenanceRecord]) -> int:
         """Splice a record group into the graph in one vectorized pass.

@@ -48,7 +48,6 @@ class ProvenanceDatabase:
         #: been folded into ``_main_bytes`` yet (see ``main_bytes``).
         self._unsized: list[ProvenanceRecord] = []
         self.index_bytes = 0
-        self._listeners: list = []
         self._batch_listeners: list = []
 
     # -- writes ------------------------------------------------------------------
@@ -75,49 +74,32 @@ class ProvenanceDatabase:
     def insert(self, record: ProvenanceRecord) -> None:
         """Add one record and maintain every index."""
         self._ingest(record)
-        for listener in self._listeners:
-            listener(record)
         if self._batch_listeners:
             batch = (record,)
             for listener in self._batch_listeners:
                 listener(batch)
 
-    def subscribe(self, listener) -> None:
-        """Register a callable invoked with every inserted record.
-
-        This is the push feed live query engines ride: the graph
-        *receives* records as Waldo ingests them, it never reaches back
-        into storage to pull (lint rule PL210).  Recovery replay goes
-        through :meth:`insert` too, so subscribers stay correct across
-        crash/recover cycles.
-        """
-        self._listeners.append(listener)
-
     def subscribe_batch(self, listener) -> None:
         """Register a callable invoked with each inserted record *group*.
 
-        The batched flavour of :meth:`subscribe`: ``insert_many`` hands
+        This is the push feed live query engines ride: the graph
+        *receives* records as Waldo ingests them, it never reaches back
+        into storage to pull (lint rule PL210).  ``insert_many`` hands
         the whole sequence over in one call, and single ``insert`` calls
-        arrive as 1-tuples, so a batch subscriber sees every record
-        exactly once, in insertion order, whichever write path ran.
+        (recovery replay among them, so subscribers stay correct across
+        crash/recover cycles) arrive as 1-tuples: a subscriber sees
+        every record exactly once, in insertion order, whichever write
+        path ran.
         """
         self._batch_listeners.append(listener)
 
-    def unsubscribe(self, listener) -> bool:
-        """Remove one per-record listener; True if it was registered.
+    def unsubscribe_batch(self, listener) -> bool:
+        """Remove one listener; True if it was registered.
 
         Query engines with bounded lifetimes (benchmark arms, EXPLAIN
         scratch engines) detach instead of riding the feed forever --
         otherwise every insert keeps paying for graphs nobody queries.
         """
-        try:
-            self._listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
-
-    def unsubscribe_batch(self, listener) -> bool:
-        """Remove one batch listener; True if it was registered."""
         try:
             self._batch_listeners.remove(listener)
             return True
@@ -127,15 +109,15 @@ class ProvenanceDatabase:
     @property
     def has_subscribers(self) -> bool:
         """Whether any push-feed listener is registered."""
-        return bool(self._listeners or self._batch_listeners)
+        return bool(self._batch_listeners)
 
     def insert_many(self, records: Iterable[ProvenanceRecord]) -> int:
         """Insert a batch; returns how many records were added.
 
         One vectorized indexing pass -- the loop body mirrors
         :meth:`_ingest` with every instance lookup hoisted and the size
-        counters accumulated locally; per-record subscribers are then
-        replayed in order and batch subscribers notified once.
+        counters accumulated locally; subscribers are then notified
+        once with the whole batch.
         """
         if not isinstance(records, (list, tuple)):
             records = list(records)
@@ -179,10 +161,6 @@ class ProvenanceDatabase:
         self._unsized.extend(records)
         self.index_bytes += index_bytes
         if records:
-            if self._listeners:
-                for record in records:
-                    for listener in self._listeners:
-                        listener(record)
             for listener in self._batch_listeners:
                 listener(records)
         return len(records)

@@ -6,7 +6,9 @@ DPAPI in addition to the regular VFS calls:
 
 * data writes flush the provenance log first (**write-ahead
   provenance**), wrap the flush in a transaction, and record an MD5 of
-  the data so recovery can detect in-flight writes;
+  the data so recovery can detect in-flight writes; the other PASS
+  volumes' buffered records are flushed before that, because a
+  transient ancestor's provenance may live on another volume's log;
 * data reads and writes pay the stackable-file-system tax: a per-page
   copy between the upper and lower page caches (double buffering) --
   the effect behind Postmark's overhead in the paper's Table 2;
@@ -60,6 +62,11 @@ class Lasagna:
         #: further data writes complete (None = off).
         self.fail_before_data_write = False
         self._waive_barrier = False
+        #: The other PASS volumes' Lasagnas (wired by StorageTier.attach).
+        #: A transient object's provenance stays on the first volume it
+        #: was flushed to, so a data write here may depend on records
+        #: still buffered in a peer's log.
+        self.peers: list[Lasagna] = []
         #: Ablation switch: write provenance PASSv1-style -- synchronous,
         #: indexed-database-like writes (full seek per flush) instead of
         #: the clustered log + Waldo pipeline.
@@ -127,12 +134,19 @@ class Lasagna:
             self.log.flush()
             self.log.rotate()
 
-    def flush_buffered(self) -> None:
+    def flush_buffered(self, waive_barrier: bool = False) -> None:
         """Flush the log if it holds buffered records (the journal's
         ordered-mode coupling: metadata commits force pending
-        provenance out first)."""
+        provenance out first; a peer volume's data write does the same,
+        with the barrier waived -- that write's own flush is the
+        ordering point)."""
         if self.log.buffered_records:
-            self.log.flush()
+            saved = self._waive_barrier
+            self._waive_barrier = saved or waive_barrier
+            try:
+                self.log.flush()
+            finally:
+                self._waive_barrier = saved
 
     # -- stackable data path -----------------------------------------------------------
 
@@ -151,6 +165,8 @@ class Lasagna:
         # large writes the ordering point hides inside the multi-block
         # transfer, so the barrier latency is waived.
         digest = data_digest(data, nbytes)
+        for peer in self.peers:
+            peer.flush_buffered(waive_barrier=True)
         self.log.append(ProvenanceRecord(
             inode.ref(), Attr.MD5, md5_value(offset, nbytes, digest),
         ))

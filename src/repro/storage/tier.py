@@ -155,9 +155,13 @@ class StorageTier:
 
     def attach(self, volume, params=None) -> None:
         """Build one PASS volume's pipeline (Lasagna and its log, Waldo,
-        database, archive).  The one construction site ``System.boot``
-        uses for the whole storage layer."""
+        database, archive) and make its Lasagna and every other volume's
+        peers (cross-volume WAP).  The one construction site
+        ``System.boot`` uses for the whole storage layer."""
         lasagna = Lasagna(volume, params, obs=self.obs, faults=self._faults)
+        for pipe in self._volumes.values():
+            pipe.lasagna.peers.append(lasagna)
+            lasagna.peers.append(pipe.lasagna)
         waldo = Waldo(lasagna.log, name=volume.name, obs=self.obs,
                       faults=self._faults, batching=self.batching,
                       archive=SegmentArchive())

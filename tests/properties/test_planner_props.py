@@ -131,7 +131,8 @@ def test_planned_equals_naive_while_growing(stream, cut, query):
     cut = min(cut, len(stream))
     engine = QueryEngine(OEMGraph.build(stream[:cut]), check=False)
     assert_arms_agree(engine, query)
-    engine.graph.apply_many(stream[cut:])
+    for record in stream[cut:]:
+        engine.graph.apply(record)
     assert_arms_agree(engine, query)
 
 

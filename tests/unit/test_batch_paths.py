@@ -67,7 +67,8 @@ class TestSubmitBatch:
 
         legacy, legacy_out = [], []
         reference = Analyzer(emit=legacy_out.append)
-        reference.submit_many(protos(FakeObject(1), FakeObject(2)))
+        for proto in protos(FakeObject(1), FakeObject(2)):
+            reference.submit(proto)
 
         analyzer, batches, singles = batch_analyzer()
         emitted = analyzer.submit_batch(protos(FakeObject(1), FakeObject(2)))
@@ -87,12 +88,12 @@ class TestSubmitBatch:
         analyzer.submit_batch([ProtoRecord(FakeObject(1), Attr.NAME, "n")])
         assert [r.attr for r in out] == [Attr.NAME]
 
-    def test_hot_triple_lru_drops_cross_batch_duplicates(self):
+    def test_cross_batch_duplicates_dropped(self):
         analyzer, batches, _ = batch_analyzer()
         file_ = FakeObject(2)
         for _ in range(4):
             # One-record batches: every record sits at a run boundary,
-            # so the LRU (not the run cache) must classify the repeats.
+            # so the per-version ``_seen`` sets must carry across calls.
             analyzer.submit_batch([ProtoRecord(file_, Attr.TYPE, "file")])
         assert sum(len(list(b)) for b in batches) == 1
         assert analyzer.duplicates_dropped == 3
@@ -324,13 +325,6 @@ class TestInsertMany:
         assert database.main_bytes == expected
         assert not database._unsized      # folded exactly once
         assert database.main_bytes == expected
-
-    def test_per_record_listeners_replay_in_order(self):
-        database = ProvenanceDatabase()
-        seen = []
-        database.subscribe(seen.append)
-        database.insert_many(self.records())
-        assert seen == self.records()
 
     def test_batch_listener_sees_each_record_once_via_both_paths(self):
         database = ProvenanceDatabase()

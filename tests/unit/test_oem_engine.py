@@ -130,15 +130,6 @@ class TestIncrementalApply:
         graph.apply(R(2, 0, Attr.INPUT, ObjectRef(1, 0)))
         assert graph.vocab_epoch > epoch
 
-    def test_apply_many_counts(self):
-        graph = OEMGraph()
-        applied = graph.apply_many([
-            R(1, 0, Attr.NAME, "/a"),
-            R(2, 0, Attr.NAME, "/b"),
-        ])
-        assert applied == 2
-        assert len(graph) == 2
-
 
 class TestLiveEngine:
     def test_live_engine_sees_later_inserts(self):

@@ -10,6 +10,7 @@ archive stays within its compaction policy.
 import pytest
 
 from repro.core.errors import NotPassVolume
+from repro.query.helpers import ancestry_refs, newest_ref_by_name
 from repro.storage.tier import CompactionPolicy, SegmentArchive
 from repro.system import System
 
@@ -174,3 +175,31 @@ class TestCrashRecover:
         assert after == len(report.committed_records)
         second = system.tier.recover(consume=True)
         assert second.clean and not second.committed_records
+
+    def test_data_write_flushes_other_volumes_first(self):
+        """Cross-volume WAP: the worker's provenance went to ``b``'s log
+        with its first write, so ``/a/out``'s data write must make
+        ``b``'s later buffered records durable before it lands."""
+        system = System.boot(pass_volumes=TWO_VOLUMES)
+        with system.process(argv=["seed"]) as proc:
+            fd = proc.open("/a/in", "w")
+            proc.write(fd, b"input" * 8)
+            proc.close(fd)
+        system.sync()
+        with system.process(argv=["worker"]) as proc:
+            fd = proc.open("/b/x", "w")
+            proc.write(fd, b"x" * 32)
+            proc.close(fd)
+            fd = proc.open("/a/in", "r")
+            payload = proc.read(fd)
+            proc.close(fd)
+            fd = proc.open("/a/out", "w")
+            proc.write(fd, payload[::-1])
+            proc.close(fd)
+        system.tier.crash()
+        system.tier.recover(consume=True)
+        databases = system.databases()
+        source = newest_ref_by_name(databases, "/a/in")
+        closure = ancestry_refs(databases,
+                                newest_ref_by_name(databases, "/a/out"))
+        assert source.pnode in {ref.pnode for ref in closure}
